@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     laws.add_argument("--suite", choices=["ccc", "bilat", "lu", "approx"],
                       action="append",
                       help="suite to run (repeatable; default: all)")
-    laws.add_argument("--threads", type=int, default=1,
-                      help="worker threads for independent checks; results "
-                           "are order-independent, so output is unchanged")
 
     space = sub.add_parser("space", help="print an approximation space")
     space.add_argument("--system", required=True,
@@ -84,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_laws(args) -> int:
     suites = args.suite or ["ccc", "bilat", "lu", "approx"]
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return USAGE_EXIT
     reports = run_suites(suites, max_size=args.max_size)
     ok = True
     for report in reports:

@@ -146,6 +146,15 @@ class InconsistentRevision(AftError):
 
 
 # ---------------------------------------------------------------------------
+# Settings
+
+
+class InvalidSetting(AftError):
+    """An environment setting, such as AFT_SIZE_CAP, has a malformed or
+    out-of-range value."""
+
+
+# ---------------------------------------------------------------------------
 # Internal invariants
 
 

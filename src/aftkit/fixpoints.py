@@ -1,12 +1,16 @@
 """Kleene least fixpoints and the four fixpoint families of approximating
 operators: Kripke-Kleene, supported, stable, well-founded.
 
-Operators are explicit tables on finite spaces. An approximator couples a
-precision-monotone operator with a pair structure that splits each element of
-its space into a lower-lattice and an upper-lattice part; square bilattices
-split pairs directly, products split componentwise, and function spaces split
-pointwise into a monotone lower map and an antitone upper map. The stable
-operator revises the lower part against a fixed upper part; its fixpoints and
+Operators are explicit tables on finite spaces, checked exhaustively. The
+chains behind least fixpoints, stable revisions and the well-founded fixpoint
+(``kleene_chain``, ``alternating_fixpoint``) also follow an operator given as
+a function, evaluating it only at their iterates, on a ``PairProduct`` whose
+product space is never listed. An approximator couples a precision-monotone
+operator with a pair structure that splits each element of its space into a
+lower-lattice and an upper-lattice part; square bilattices split pairs
+directly, products split componentwise, and function spaces split pointwise
+into a monotone lower map and an antitone upper map. The stable operator
+revises the lower part against a fixed upper part; its fixpoints and
 the least fixpoint of the pairwise revision operator give the stable and
 well-founded semantics.
 """
@@ -23,7 +27,7 @@ from .errors import (
     NotMonotone,
     UnknownElement,
 )
-from .order import Poset, product
+from .order import Poset, ProductOrder, _bits, product
 
 
 class Operator:
@@ -52,7 +56,7 @@ class Operator:
             sp = self.space
             for i, x in enumerate(sp.elements):
                 fx = self.table[x]
-                for j in _mask_bits(sp.above_mask(i)):
+                for j in _bits(sp.above_mask(i)):
                     if not sp.leq(fx, self.table[sp.elements[j]]):
                         self._monotone = False
                         break
@@ -65,13 +69,23 @@ class Operator:
         return cls(space, {e: fn(e) for e in space.elements})
 
 
-def _mask_bits(mask: int) -> list:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def kleene_chain(step: Callable, start, leq: Callable, bound: int):
+    """Follow start, step(start), step(step(start)), ... to its first fixpoint.
+
+    Every iterate must lie below its successor, which holds for a monotone
+    step from a bottom; otherwise NotMonotone is raised. ``bound`` caps the
+    strict steps, such as the order's ``chain_bound()``.
+    """
+    x = start
+    for _ in range(bound + 1):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        if not leq(x, nxt):
+            raise NotMonotone("chain is not ascending: an iterate is not below "
+                              "its successor, so the step is not monotone here")
+        x = nxt
+    raise InternalLawFailure("Kleene iteration failed to stabilize")
 
 
 def lfp(op: Operator) -> object:
@@ -84,13 +98,8 @@ def lfp(op: Operator) -> object:
         raise NoBottom("least fixpoint needs a bottom element")
     if not op.is_monotone():
         raise NotMonotone("least fixpoint needs a monotone operator")
-    x = op.space.bottom()
-    for _ in range(len(op.space) + 1):
-        nxt = op(x)
-        if nxt == x:
-            return x
-        x = nxt
-    raise InternalLawFailure("Kleene iteration failed to stabilize")
+    return kleene_chain(op, op.space.bottom(), op.space.leq,
+                        op.space.chain_bound())
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +183,34 @@ class PairStructure:
         return cls(space, lower, upper, table, name="pointwise")
 
 
+class PairProduct:
+    """Componentwise pair structure over per-component pair structures.
+
+    Answers the queries of a componentwise PairStructure without listing the
+    product space: ``space``, ``lower`` and ``upper`` are ProductOrders, and
+    split, merge and has_pair work component by component.
+    """
+
+    def __init__(self, parts: Sequence[PairStructure]):
+        self.parts = tuple(parts)
+        self.space = ProductOrder([s.space for s in self.parts])
+        self.lower = ProductOrder([s.lower for s in self.parts])
+        self.upper = ProductOrder([s.upper for s in self.parts])
+
+    def split(self, e):
+        halves = [s.split(v) for s, v in zip(self.parts, e)]
+        return tuple(x for x, _ in halves), tuple(y for _, y in halves)
+
+    def merge(self, x, y):
+        if not self.has_pair(x, y):
+            raise UnknownElement(
+                f"({x!r}, {y!r}) is not a consistent pair of this space")
+        return tuple(s.merge(a, b) for s, a, b in zip(self.parts, x, y))
+
+    def has_pair(self, x, y) -> bool:
+        return all(s.has_pair(a, b) for s, a, b in zip(self.parts, x, y))
+
+
 def _pointwise_poset(tables: Sequence[tuple], value_poset: Poset) -> Poset:
     above = []
     n = len(tables)
@@ -197,6 +234,17 @@ class Approximator:
             raise NotMonotone("approximators must be precision-monotone")
         self.structure = structure
         self.op = op
+
+    @classmethod
+    def unchecked(cls, structure, op: Callable) -> "Approximator":
+        """An approximator known to be precision-monotone, such as a program's
+        consequence operator, on a PairStructure or PairProduct. ``op`` is any
+        callable on the structure's space; the chains check each step they
+        take instead of the whole operator."""
+        a = cls.__new__(cls)
+        a.structure = structure
+        a.op = op
+        return a
 
     def a1(self, x, y):
         return self.structure.split(self.op(self.structure.merge(x, y)))[0]
@@ -271,23 +319,21 @@ def stable_revision(a: Approximator, y):
     InconsistentRevision instead of clamping (see the module notes on the
     experimental status of stable constructions beyond full squares).
     """
-    a.structure.upper.index(y)
-    lower = a.structure.lower
+    structure = a.structure
+    structure.upper.index(y)
+    lower = structure.lower
     if not lower.has_bottom():
         raise NoBottom("lower lattice has no bottom")
-    x = lower.bottom()
-    for _ in range(len(lower) + 1):
-        if not a.structure.has_pair(x, y):
+
+    def step(x):
+        if not structure.has_pair(x, y):
             raise InconsistentRevision(
                 f"revision value {x!r} is not paired with upper bound {y!r}")
-        nxt = a.a1(x, y)
-        if nxt == x:
-            return x
-        if not lower.leq(x, nxt):
-            raise NotMonotone("lower revision is not inflationary; "
-                              "approximator is not precision-monotone here")
-        x = nxt
-    raise InternalLawFailure("stable revision failed to stabilize")
+        return a.a1(x, y)
+
+    # a revision that is not inflationary raises NotMonotone: the
+    # approximator is not precision-monotone there
+    return kleene_chain(step, lower.bottom(), lower.leq, lower.chain_bound())
 
 
 def stable_fixpoints(a: Approximator) -> list:
@@ -302,14 +348,33 @@ def stable_fixpoints(a: Approximator) -> list:
     return out
 
 
-def well_founded(a: Approximator):
-    """Least fixpoint of (x, y) -> (S_A(y), S_A(x)) in the precision order."""
+def _alternation(a: Approximator) -> Callable:
+    """The operator (x, y) -> (S_A(y), S_A(x)) as a function."""
     structure = a.structure
-    table = {}
-    for e in structure.space.elements:
+
+    def step(e):
         x, y = structure.split(e)
-        table[e] = structure.merge(stable_revision(a, y), stable_revision(a, x))
-    return lfp(Operator(structure.space, table))
+        return structure.merge(stable_revision(a, y), stable_revision(a, x))
+
+    return step
+
+
+def well_founded(a: Approximator):
+    """Least fixpoint of (x, y) -> (S_A(y), S_A(x)) in the precision order,
+    from the table of that operator on the whole space."""
+    return lfp(Operator.from_function(a.structure.space, _alternation(a)))
+
+
+def alternating_fixpoint(a: Approximator):
+    """The well-founded fixpoint by the alternating chain from bottom.
+
+    Revises only the two halves of each iterate of (x, y) -> (S_A(y), S_A(x)),
+    so it also runs on a PairProduct. Where well_founded checks the whole
+    operator for monotonicity, this checks that each step ascends.
+    """
+    space = a.structure.space
+    return kleene_chain(_alternation(a), space.bottom(), space.leq,
+                        space.chain_bound())
 
 
 # ---------------------------------------------------------------------------

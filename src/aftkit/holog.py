@@ -34,8 +34,15 @@ from .errors import (
     UnboundVariable,
     UndeclaredSymbol,
 )
-from .fixpoints import Approximator, Operator, PairStructure, lfp, well_founded
-from .order import apply_fn, product, render_element
+from .fixpoints import (
+    Approximator,
+    Operator,
+    PairProduct,
+    PairStructure,
+    alternating_fixpoint,
+    kleene_chain,
+)
+from .order import ProductOrder, apply_fn, product, render_element
 from .systems import ApproximationSystem, ApproxSpace
 from .typesys import Arrow, Base, Prod, TypeClass, TypeExpr, classify_type, parse_type
 
@@ -534,15 +541,16 @@ def eval_expr(term: Term, interp, env: Mapping, tp: TypedProgram,
                      system, truth)
 
 
-def immediate_consequence(tp: TypedProgram, system: ApproximationSystem,
-                          cap: Optional[int] = None) -> Operator:
-    """One-step consequence operator on the interpretation space.
+def consequence_function(tp: TypedProgram, system: ApproximationSystem,
+                         cap: Optional[int] = None):
+    """The one-step consequence operator as a function from an interpretation
+    (the tuple of symbol values, in declaration order) to the tuple of symbol
+    values, evaluating the rules at that interpretation only.
 
     Per symbol and argument tuple, alternatives join componentwise with
     definite falsehood as the unit; a symbol with no rules is definitely
     false everywhere.
     """
-    space = interpretation_space(tp, system, cap)
     truth = _Truth(system)
     signature = dict(tp.signature)
     positions = {name: i for i, name in enumerate(tp.symbols())}
@@ -553,14 +561,15 @@ def immediate_consequence(tp: TypedProgram, system: ApproximationSystem,
             out = truth.t_or(out, v)
         return out
 
-    def symbol_value(name, interp):
+    def symbol_value(name):
         rules = tp.rules_for(name)
         ptypes = tp.param_types[name]
         params = rules[0].params if rules else tuple(f"_{i}" for i in range(len(ptypes)))
         env_types = dict(zip(params, ptypes))
         arg_spaces = [system.app(t, cap).space for t in ptypes]
+        sym_space = system.app(signature[name], cap).space
 
-        def build(level, env):
+        def build(interp, level, env):
             if level == len(ptypes):
                 return join([_evaluate(r.body, interp, env, env_types,
                                        signature, positions, system, truth)
@@ -569,20 +578,33 @@ def immediate_consequence(tp: TypedProgram, system: ApproximationSystem,
             for a in arg_spaces[level].elements:
                 env2 = dict(env)
                 env2[params[level]] = a
-                values.append(build(level + 1, env2))
+                values.append(build(interp, level + 1, env2))
             return tuple(values)
 
-        value = build(0, {})
-        sym_space = system.app(signature[name], cap).space
-        if value not in sym_space:
-            raise InternalLawFailure(
-                f"consequence value for {name} is not monotone")
-        return value
+        def value_at(interp):
+            value = build(interp, 0, {})
+            if value not in sym_space:
+                raise InternalLawFailure(
+                    f"consequence value for {name} is not monotone")
+            return value
 
-    table = {}
-    for interp in space.space.elements:
-        table[interp] = tuple(symbol_value(name, interp) for name in tp.symbols())
-    return Operator(space.space, table)
+        return value_at
+
+    symbol_values = [symbol_value(name) for name in tp.symbols()]
+
+    def consequence(interp) -> tuple:
+        return tuple(value_at(interp) for value_at in symbol_values)
+
+    return consequence
+
+
+def immediate_consequence(tp: TypedProgram, system: ApproximationSystem,
+                          cap: Optional[int] = None) -> Operator:
+    """One-step consequence operator, tabulated on the whole interpretation
+    space; see ``consequence_function``."""
+    space = interpretation_space(tp, system, cap)
+    return Operator.from_function(space.space,
+                                  consequence_function(tp, system, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +631,7 @@ def _pair_structure_for_type(system: ApproximationSystem, t: TypeExpr,
 
 def interpretation_structure(tp: TypedProgram, system: ApproximationSystem,
                              cap: Optional[int] = None) -> PairStructure:
+    """Pair structure of the whole interpretation space, tabulated."""
     space = interpretation_space(tp, system, cap)
     comps = [_pair_structure_for_type(system, t, cap) for _, t in tp.signature]
     return PairStructure.componentwise(comps, space.space)
@@ -625,13 +648,20 @@ def compute_model(tp: TypedProgram, system: ApproximationSystem, mode: str,
     """Fixpoint model of a program: the Kripke-Kleene least fixpoint, or the
     well-founded fixpoint via stable revisions.
 
+    Both follow their chain from bottom (the Kleene chain, or the alternating
+    chain with a stable revision at the two halves of each iterate) and
+    evaluate the consequence operator only at its iterates, so the cost
+    follows the chain's length, not the size of the interpretation space,
+    which is never built. Symbol spaces are compared componentwise.
+
     Stable-style revisions on higher-order spaces follow the componentwise/
     pointwise splitting of the pair structure; that construction is this
     package's own generalization and stays behind ``experimental_lu_stable``.
     """
-    op = immediate_consequence(tp, system, cap)
+    step = consequence_function(tp, system, cap)
     if mode == ComputeMode.KK:
-        return lfp(op)
+        order = ProductOrder([system.app(t, cap).space for _, t in tp.signature])
+        return kleene_chain(step, order.bottom(), order.leq, order.chain_bound())
     if mode != ComputeMode.WF:
         raise ValueError(f"unknown mode {mode!r}")
     higher_order = any(not isinstance(t, Base) for _, t in tp.signature)
@@ -639,8 +669,9 @@ def compute_model(tp: TypedProgram, system: ApproximationSystem, mode: str,
         raise ExperimentalFeatureDisabled(
             "well-founded models over higher-order spaces need "
             "--experimental-lu-stable")
-    structure = interpretation_structure(tp, system, cap)
-    return well_founded(Approximator(structure, op))
+    structure = PairProduct([_pair_structure_for_type(system, t, cap)
+                             for _, t in tp.signature])
+    return alternating_fixpoint(Approximator.unchecked(structure, step))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicateElement,
+    InvalidSetting,
     NoBottom,
     NotAntisymmetric,
     NotMonotone,
@@ -38,14 +39,19 @@ DEFAULT_SIZE_CAP = 100_000
 
 
 def size_cap() -> int:
-    """Current construction cap; override with the AFT_SIZE_CAP env var."""
+    """Current construction cap; override with the AFT_SIZE_CAP env var, a
+    non-negative integer."""
     raw = os.environ.get("AFT_SIZE_CAP")
     if raw is None:
         return DEFAULT_SIZE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_SIZE_CAP
+        cap = -1
+    if cap < 0:
+        raise InvalidSetting(
+            f"AFT_SIZE_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def _check_cap(n: int, what: str, cap: Optional[int] = None) -> None:
@@ -158,6 +164,10 @@ class Poset:
             if not (self.leq_idx(a, b) or self.leq_idx(b, a)):
                 return False
         return True
+
+    def chain_bound(self) -> int:
+        """Bound on the strict steps of any ascending chain."""
+        return len(self.elements)
 
     def same_order_as(self, other: "Poset") -> bool:
         return self.elements == other.elements and self._above == other._above
@@ -398,6 +408,36 @@ def product(factors: Sequence[Poset], labels: Optional[Sequence] = None,
     if extra_info:
         info.update(extra_info)
     return Poset(elements, above, kind="product", info=info)
+
+
+class ProductOrder:
+    """The componentwise order on tuples over factor posets, queried without
+    listing the product, whose size is the product of the factor sizes."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Sequence[Poset]):
+        self.factors = tuple(factors)
+
+    def index(self, x) -> tuple:
+        """Per-factor indices of ``x``; raises UnknownElement like Poset.index."""
+        if not isinstance(x, tuple) or len(x) != len(self.factors):
+            raise UnknownElement(f"element {x!r} not in product")
+        return tuple(f.index(v) for f, v in zip(self.factors, x))
+
+    def leq(self, x: tuple, y: tuple) -> bool:
+        return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def has_bottom(self) -> bool:
+        return all(f.has_bottom() for f in self.factors)
+
+    def bottom(self) -> tuple:
+        return tuple(f.bottom() for f in self.factors)
+
+    def chain_bound(self) -> int:
+        """Bound on the strict steps of any ascending chain: a strict step
+        raises at least one component."""
+        return sum(f.chain_bound() for f in self.factors)
 
 
 def _componentwise_above(factors: Sequence[Poset], elements: list) -> list:

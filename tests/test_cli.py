@@ -126,3 +126,24 @@ def test_unknown_builtin_exits_2(capsys):
     code, _, _ = run(capsys, ["space", "--system", "builtin:nope",
                               "--type", "o"])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["lots", "-5"])
+def test_bad_size_cap_exits_2(capsys, monkeypatch, bad):
+    monkeypatch.setenv("AFT_SIZE_CAP", bad)
+    code, out, err = run(capsys, ["space", "--system", "builtin:lu-bool",
+                                  "--type", "o->o"])
+    assert code == 2
+    assert out == ""
+    assert "AFT_SIZE_CAP" in err
+
+
+def test_symbol_space_over_cap_exits_2(capsys, tmp_path):
+    # the cap bounds each symbol's space; this one is too large by itself
+    prog = tmp_path / "second.hl"
+    prog.write_text("p : (o -> o) -> o.\n")
+    code, out, err = run(capsys, ["model", str(prog),
+                                  "--system", "builtin:bilat-bool"])
+    assert code == 2
+    assert out == ""
+    assert "cap" in err

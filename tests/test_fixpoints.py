@@ -1,12 +1,15 @@
 import pytest
 
 from aftkit.bilat import make_bilattice
-from aftkit.errors import NoBottom, NotMonotone, UnknownElement
+from aftkit.errors import InternalLawFailure, NoBottom, NotMonotone, UnknownElement
 from aftkit.fixpoints import (
     Approximator,
     Operator,
+    PairProduct,
     PairStructure,
+    alternating_fixpoint,
     check_approximator,
+    kleene_chain,
     kripke_kleene,
     lfp,
     stable_fixpoints,
@@ -212,6 +215,58 @@ def test_well_founded_matches_oracle():
     s2 = fitting_structure(2)
     a2 = Approximator(s2, op_p_not_q(s2))
     assert well_founded(a2) == brute_force_well_founded(a2)
+
+
+def test_alternating_fixpoint_matches_well_founded():
+    base = two_chain()
+    per_atom = PairStructure.square(base, make_bilattice(base).space)
+    for n, make_op in ((1, op_p_p), (1, op_p_not_p), (2, op_p_not_q)):
+        s = fitting_structure(n)
+        op = make_op(s)
+        expected = well_founded(Approximator(s, op))
+        assert alternating_fixpoint(Approximator(s, op)) == expected
+        # the same chain on the structure that never lists the product
+        on_demand = Approximator.unchecked(PairProduct([per_atom] * n), op)
+        assert alternating_fixpoint(on_demand) == expected
+
+
+def test_pair_product_agrees_with_componentwise():
+    base = two_chain()
+    per_atom = PairStructure.square(base, make_bilattice(base).space)
+    s = fitting_structure(2)
+    pp = PairProduct([per_atom, per_atom])
+    for e in s.space.elements:
+        x, y = s.split(e)
+        assert pp.split(e) == (x, y)
+        assert pp.merge(x, y) == e
+    for x in s.lower.elements:
+        for y in s.upper.elements:
+            assert pp.has_pair(x, y) == s.has_pair(x, y)
+    assert pp.lower.bottom() == s.lower.bottom()
+
+
+# ---------------------------------------------------------------------------
+# Kleene chains
+
+
+def test_kleene_chain_stops_at_first_fixpoint():
+    c3 = chain(["a", "b", "c"])
+    step = {"a": "b", "b": "c", "c": "c"}.get
+    assert kleene_chain(step, "a", c3.leq, c3.chain_bound()) == "c"
+    assert kleene_chain(step, "b", c3.leq, c3.chain_bound()) == "c"
+
+
+def test_kleene_chain_rejects_descent():
+    c2 = two_chain()
+    with pytest.raises(NotMonotone):
+        kleene_chain({"f": "t", "t": "f"}.get, "f", c2.leq, c2.chain_bound())
+
+
+def test_kleene_chain_stops_past_bound():
+    c3 = chain(["a", "b", "c"])
+    step = {"a": "b", "b": "c", "c": "c"}.get
+    with pytest.raises(InternalLawFailure):
+        kleene_chain(step, "a", c3.leq, 1)
 
 
 def test_kk_below_every_fixpoint():

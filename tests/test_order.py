@@ -5,6 +5,7 @@ import pytest
 from aftkit.enumeration import chain_subsets, posets_up_to, subsets
 from aftkit.errors import (
     DuplicateElement,
+    InvalidSetting,
     NotAntisymmetric,
     NotReflexive,
     NotTransitive,
@@ -14,6 +15,7 @@ from aftkit.errors import (
 from aftkit.order import (
     Direction,
     MonotoneMap,
+    ProductOrder,
     RelationMode,
     antichain,
     apply_fn,
@@ -225,6 +227,33 @@ def test_product_cap():
         product([big, big])
 
 
+def test_product_order_agrees_with_product():
+    factors = [chain(["0", "1", "2"]), vee()]
+    p = product(factors)
+    po = ProductOrder(factors)
+    for x, y in itertools.product(p.elements, repeat=2):
+        assert po.leq(x, y) == p.leq(x, y)
+    assert po.has_bottom() and po.bottom() == p.bottom()
+    assert po.index(("1", "T")) == (1, 1)
+    assert not ProductOrder([vee(), antichain(["a", "b"])]).has_bottom()
+
+
+def test_product_order_rejects_foreign_elements():
+    po = ProductOrder([chain(["0", "1"]), vee()])
+    for foreign in [("0",), ("0", "T", "T"), ("0", "X"), "0T"]:
+        with pytest.raises(UnknownElement):
+            po.index(foreign)
+
+
+def test_product_order_lists_nothing():
+    # 400**3 tuples: only the factors are built
+    big = chain([str(i) for i in range(400)])
+    po = ProductOrder([big, big, big])
+    assert po.leq(("0", "5", "7"), ("1", "5", "399"))
+    assert not po.leq(("2", "5", "7"), ("1", "5", "399"))
+    assert po.chain_bound() >= 3 * 399
+
+
 # ---------------------------------------------------------------------------
 # exponential and function space
 
@@ -326,5 +355,7 @@ def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("AFT_SIZE_CAP", "5")
     with pytest.raises(SizeCapExceeded):
         exponential(antichain(["a", "b", "c"]), antichain(["x", "y", "z"]))
-    monkeypatch.setenv("AFT_SIZE_CAP", "not-a-number")
-    exponential(chain(["a", "b"]), chain(["x", "y"]))  # falls back to default
+    for bad in ("not-a-number", "-1"):
+        monkeypatch.setenv("AFT_SIZE_CAP", bad)
+        with pytest.raises(InvalidSetting):
+            exponential(chain(["a", "b"]), chain(["x", "y"]))

@@ -2,22 +2,30 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aftkit import fixpoints, holog
 from aftkit.enumeration import posets_up_to, subsets
-from aftkit.errors import NotAntisymmetric
+from aftkit.errors import AftError, NotAntisymmetric
 from aftkit.holog import (
+    And,
     ComputeMode,
+    FalseLit,
+    Not,
+    Or,
+    TrueLit,
     analyze_model,
     compute_model,
     eval_expr,
     immediate_consequence,
     interpretation_space,
+    interpretation_structure,
     parse_program,
     typecheck,
 )
-from aftkit.fixpoints import Operator, lfp
+from aftkit.fixpoints import Approximator, Operator, lfp, well_founded
 from aftkit.order import (
     Direction,
     RelationMode,
@@ -183,3 +191,105 @@ def test_negation_free_kk_models_exact_at_desk_scale():
         tp = typecheck(parse_program(text))
         model = compute_model(tp, lu, ComputeMode.KK)
         assert analyze_model(model, tp, lu).two_valued, text
+
+
+# ---------------------------------------------------------------------------
+# On-demand models against the tabulated operator
+
+
+@pytest.fixture(scope="module")
+def systems():
+    return {name: builtin_system(name) for name in ("lu-bool", "bilat-bool")}
+
+
+def _outcome(compute):
+    """The computed value, or the class of the aftkit error it raised."""
+    try:
+        return compute()
+    except AftError as exc:
+        return type(exc)
+
+
+def _tabulated_kk(tp, system):
+    return lfp(immediate_consequence(tp, system))
+
+
+def _tabulated_wf(tp, system):
+    op = immediate_consequence(tp, system)
+    return well_founded(Approximator(interpretation_structure(tp, system), op))
+
+
+ATOMS = ("p", "q", "r", "s")
+
+
+@st.composite
+def o_programs(draw):
+    """Programs of 1-4 symbols of type o; rule bodies mix negation,
+    conjunction, disjunction, constants and declared atoms."""
+    names = ATOMS[:draw(st.integers(min_value=1, max_value=len(ATOMS)))]
+    leaves = st.sampled_from([Const(n) for n in names] + [TrueLit(), FalseLit()])
+    bodies = st.recursive(
+        leaves,
+        lambda sub: st.one_of(sub.map(Not),
+                              st.builds(And, sub, sub),
+                              st.builds(Or, sub, sub)),
+        max_leaves=4)
+    rules = draw(st.lists(st.tuples(st.sampled_from(names), bodies), max_size=5))
+    return ("".join(f"{n} : o.\n" for n in names)
+            + "".join(f"{head} :- {body}.\n" for head, body in rules))
+
+
+@settings(max_examples=80, deadline=None)
+@given(o_programs(), st.sampled_from(["lu-bool", "bilat-bool"]))
+def test_on_demand_models_equal_tabulated(systems, text, system_name):
+    system = systems[system_name]
+    tp = typecheck(parse_program(text))
+    for mode, oracle in ((ComputeMode.KK, _tabulated_kk),
+                         (ComputeMode.WF, _tabulated_wf)):
+        expected = _outcome(lambda: oracle(tp, system))
+        got = _outcome(lambda: compute_model(tp, system, mode))
+        assert got == expected, (mode, text)
+
+
+IDENT_PROG = "p : o -> o.\np(R) :- R.\n"
+SECOND_ORDER_PROG = ("q : o -> o.\np : (o -> o) -> o.\n"
+                     "q(R) :- ~R.\np(Q) :- Q(true), ~Q(false).\n")
+
+
+@pytest.mark.parametrize("text", [IDENT_PROG, SECOND_ORDER_PROG])
+def test_on_demand_higher_order_kk_equals_tabulated(systems, text):
+    lu = systems["lu-bool"]
+    tp = typecheck(parse_program(text))
+    assert compute_model(tp, lu, ComputeMode.KK) == _tabulated_kk(tp, lu)
+
+
+@pytest.mark.parametrize("system_name", ["lu-bool", "bilat-bool"])
+def test_on_demand_identity_wf_fails_like_tabulated(systems, system_name):
+    system = systems[system_name]
+    tp = typecheck(parse_program(IDENT_PROG))
+    expected = _outcome(lambda: _tabulated_wf(tp, system))
+    assert isinstance(expected, type) and issubclass(expected, AftError)
+    got = _outcome(lambda: compute_model(tp, system, ComputeMode.WF,
+                                         experimental_lu_stable=True))
+    assert got is expected
+
+
+def test_models_never_tabulate_the_interpretation_space(systems, monkeypatch):
+    # 4**200 interpretations: building the product, the operator table or
+    # the exhaustive monotonicity check would never finish
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interpretation space was tabulated")
+
+    monkeypatch.setattr(holog, "immediate_consequence", refuse)
+    monkeypatch.setattr(holog, "interpretation_space", refuse)
+    monkeypatch.setattr(fixpoints.Operator, "is_monotone", refuse)
+    n = 200
+    text = ("".join(f"p{i} : o.\n" for i in range(n))
+            + "".join(f"p{i} :- ~p{i + 1}.\n" for i in range(n - 1)))
+    tp = typecheck(parse_program(text))
+    # the last atom has no rule, so the atoms alternate false/true from it
+    expected = tuple(("t", "t") if (n - 1 - i) % 2 else ("f", "f")
+                     for i in range(n))
+    bb = systems["bilat-bool"]
+    for mode in (ComputeMode.KK, ComputeMode.WF):
+        assert compute_model(tp, bb, mode) == expected, mode
